@@ -17,6 +17,7 @@
 //! Run `cgte help` for usage. Arguments are `--key value` pairs; parsing is
 //! deliberately dependency-free.
 
+use cgte_core::bootstrap::ResampleRecords;
 use cgte_core::{CategoryGraphEstimator, Design, SizeMethod, StarSizeOptions};
 use cgte_datasets::{
     read_categories, read_edgelist, standin, standin_partition, write_categories, write_edgelist,
@@ -939,27 +940,22 @@ fn cmd_estimate(args: &Args) -> Result<(), CliError> {
             return Err("--boot must be positive".into());
         }
         let population = g.num_nodes() as f64;
-        let opts = StarSizeOptions::default();
         eprintln!(
             "bootstrap {:.0}% percentile CIs for category sizes ({reps} replicates):",
             level * 100.0
         );
         // One deterministic stream, separate from the sampling stream.
         let mut boot_rng = StdRng::seed_from_u64(seed ^ 0xB007_57AB);
-        let induced = matches!(size_method, SizeMethod::Induced).then(|| star.to_induced(&g, &p));
+        // The induced view of the draw has the star sample's categories and
+        // weights, so one set of record columns serves both branches.
+        let mut records = ResampleRecords::from_star(&star);
         for c in 0..p.num_categories() as u32 {
-            let line = match &induced {
-                Some(induced) => cgte_core::bootstrap::bootstrap_induced(
-                    induced,
-                    reps,
-                    level,
-                    &mut boot_rng,
-                    |s| cgte_core::category_size::induced_size(s, c, population),
-                ),
-                None => {
-                    cgte_core::bootstrap::bootstrap_star(&star, reps, level, &mut boot_rng, |s| {
-                        cgte_core::category_size::star_size(s, c, population, &opts)
-                    })
+            let line = match size_method {
+                SizeMethod::Induced => {
+                    records.bootstrap_induced_size(c, population, reps, level, &mut boot_rng)
+                }
+                SizeMethod::Star(opts) => {
+                    records.bootstrap_star_size(c, population, &opts, reps, level, &mut boot_rng)
                 }
             };
             match line {

@@ -681,8 +681,9 @@ impl StarAccumulator {
     }
 
     /// The pushed `(node, weight)` sequence, in order. This is what
-    /// [`StarAccumulator::merge`] replays, and what consumers needing a
-    /// materialized observation (bootstrap resampling) re-observe from.
+    /// [`StarAccumulator::merge`] replays, and what bootstrap resampling
+    /// draws record indices from (`cgte_core::bootstrap::ResampleRecords`
+    /// reads each record's columns once; no replicate is re-observed).
     #[inline]
     pub fn log(&self) -> &[(NodeId, f64)] {
         &self.log

@@ -1342,11 +1342,27 @@ fn snapshot_save(state: &ServerState, id: &str, req: &http::Request) -> Result<S
     let dir = path.parent().expect("snapshot path has a parent");
     std::fs::create_dir_all(dir)
         .map_err(|e| ServeError::internal(format!("cannot create {}: {e}", dir.display())))?;
-    let tmp = dir.join(format!(".{name}.cgtes.tmp"));
-    std::fs::write(&tmp, &bytes)
-        .map_err(|e| ServeError::internal(format!("cannot write {}: {e}", tmp.display())))?;
-    std::fs::rename(&tmp, &path)
-        .map_err(|e| ServeError::internal(format!("cannot rename to {}: {e}", path.display())))?;
+    // A temp name unique to this call: concurrent saves under one name
+    // (from this process or another sharing the store) must never write
+    // into the same temp inode or rename it out from under each other.
+    static SAVE_SEQ: AtomicU64 = AtomicU64::new(0);
+    let tmp = dir.join(format!(
+        ".{name}.cgtes.tmp.{}.{}",
+        std::process::id(),
+        SAVE_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let written = std::fs::write(&tmp, &bytes)
+        .map_err(|e| ServeError::internal(format!("cannot write {}: {e}", tmp.display())))
+        .and_then(|()| {
+            std::fs::rename(&tmp, &path).map_err(|e| {
+                ServeError::internal(format!("cannot rename to {}: {e}", path.display()))
+            })
+        });
+    if written.is_err() {
+        // Unique temp names would otherwise accumulate on failure.
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written?;
     state.snapshots_saved.fetch_add(1, Ordering::Relaxed);
     cgte_obs::event(
         cgte_obs::LEVEL_DETAIL,

@@ -35,6 +35,17 @@ pub struct LoadedGraph {
 }
 
 impl LoadedGraph {
+    /// A loaded graph whose partition indexes are built on first use.
+    pub(crate) fn new(name: String, graph: Graph, partitions: Vec<(String, Partition)>) -> Self {
+        let indexes = partitions.iter().map(|_| OnceLock::new()).collect();
+        LoadedGraph {
+            name,
+            graph,
+            partitions,
+            indexes,
+        }
+    }
+
     /// Index of the named partition.
     pub fn partition_idx(&self, name: &str) -> Option<usize> {
         self.partitions.iter().position(|(n, _)| n == name)
@@ -212,13 +223,7 @@ impl Registry {
                 }
             }
         }
-        let indexes = partitions.iter().map(|_| OnceLock::new()).collect();
-        let lg = Arc::new(LoadedGraph {
-            name: name.to_string(),
-            graph,
-            partitions,
-            indexes,
-        });
+        let lg = Arc::new(LoadedGraph::new(name.to_string(), graph, partitions));
         self.loads.fetch_add(1, Ordering::SeqCst);
         eprintln!(
             "serve: loaded graph {name:?} ({} nodes, {} edges, {} partition(s), {})",

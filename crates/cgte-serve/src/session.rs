@@ -5,15 +5,13 @@
 use crate::json::{fmt_array, fmt_f64, fmt_opt_array, fmt_str};
 use crate::registry::LoadedGraph;
 use crate::ServeError;
-use cgte_core::bootstrap::{bootstrap_induced, bootstrap_star};
-use cgte_core::category_size::{induced_size, star_size};
+use cgte_core::bootstrap::{BootstrapSummary, ResampleRecords};
 use cgte_core::{estimate_stream_into, StarSizeOptions, StreamEstimate};
 use cgte_graph::store::{Container, Section};
 use cgte_graph::{Graph, NodeId, Partition};
 use cgte_sampling::{
-    snapshot, AnySampler, DesignKind, InducedSample, MetropolisHastingsWalk, NeighborCategoryIndex,
-    NodeSampler, ObservationContext, ObservationStream, RandomWalk, StarSample, Swrw,
-    UniformIndependence,
+    snapshot, AnySampler, DesignKind, MetropolisHastingsWalk, NeighborCategoryIndex, NodeSampler,
+    ObservationContext, ObservationStream, RandomWalk, Swrw, UniformIndependence,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -107,6 +105,25 @@ pub fn build_sampler(
         }
     };
     Ok((sampler, design))
+}
+
+/// Appends one `"ci"` array entry: the interval object, or `null` when
+/// the estimator was undefined on every replicate.
+fn push_summary(out: &mut String, summary: Option<BootstrapSummary>) {
+    match summary {
+        Some(s) => {
+            let _ = write!(
+                out,
+                "{{\"lo\":{},\"hi\":{},\"mean\":{},\"sd\":{},\"replicates\":{}}}",
+                fmt_f64(s.ci.0),
+                fmt_f64(s.ci.1),
+                fmt_f64(s.mean),
+                fmt_f64(s.std_dev),
+                s.replicates
+            );
+        }
+        None => out.push_str("null"),
+    }
 }
 
 /// One open estimation session.
@@ -389,21 +406,18 @@ impl Session {
 
     /// The `"ci"` member: per-category bootstrap percentile intervals for
     /// both size estimators (§5.3.2 — resampled at the record level from
-    /// the session's observation log, no graph access beyond
-    /// re-observation). Deterministic for a given session seed and prefix
-    /// length.
+    /// the session's push log). Per-record columns are read once from the
+    /// shared neighbor-category index; each replicate is only a set of log
+    /// indices. Deterministic for a given session seed and prefix length.
     fn ci_json(&self, level: f64, reps: usize) -> String {
-        let g = &self.graph.graph;
-        let p = &self.graph.partitions[self.part_idx].1;
+        let ctx = ObservationContext::with_index(
+            &self.graph.graph,
+            &self.graph.partitions[self.part_idx].1,
+            &self.index,
+        );
         let population = self.population();
         let log = self.stream.log();
-        let nodes: Vec<NodeId> = log.iter().map(|&(v, _)| v).collect();
-        let weights: Vec<f64> = match self.design {
-            DesignKind::Uniform => vec![1.0; log.len()],
-            DesignKind::Weighted => log.iter().map(|&(_, w)| w).collect(),
-        };
-        let star_sample = StarSample::observe_with_weights(g, p, &nodes, weights.clone());
-        let ind_sample = InducedSample::observe_with_weights(g, p, &nodes, weights);
+        let mut records = ResampleRecords::from_log(&ctx, log, self.design);
         // One deterministic stream per (session seed, prefix, reps): the
         // same query twice returns byte-identical intervals.
         let mut rng = StdRng::seed_from_u64(
@@ -417,38 +431,10 @@ impl Session {
                 star_ci.push(',');
                 ind_ci.push(',');
             }
-            match bootstrap_star(&star_sample, reps, level, &mut rng, |s| {
-                star_size(s, c, population, &opts)
-            }) {
-                Some(s) => {
-                    let _ = write!(
-                        star_ci,
-                        "{{\"lo\":{},\"hi\":{},\"mean\":{},\"sd\":{},\"replicates\":{}}}",
-                        fmt_f64(s.ci.0),
-                        fmt_f64(s.ci.1),
-                        fmt_f64(s.mean),
-                        fmt_f64(s.std_dev),
-                        s.replicates
-                    );
-                }
-                None => star_ci.push_str("null"),
-            }
-            match bootstrap_induced(&ind_sample, reps, level, &mut rng, |s| {
-                induced_size(s, c, population)
-            }) {
-                Some(s) => {
-                    let _ = write!(
-                        ind_ci,
-                        "{{\"lo\":{},\"hi\":{},\"mean\":{},\"sd\":{},\"replicates\":{}}}",
-                        fmt_f64(s.ci.0),
-                        fmt_f64(s.ci.1),
-                        fmt_f64(s.mean),
-                        fmt_f64(s.std_dev),
-                        s.replicates
-                    );
-                }
-                None => ind_ci.push_str("null"),
-            }
+            let star = records.bootstrap_star_size(c, population, &opts, reps, level, &mut rng);
+            push_summary(&mut star_ci, star);
+            let induced = records.bootstrap_induced_size(c, population, reps, level, &mut rng);
+            push_summary(&mut ind_ci, induced);
         }
         star_ci.push(']');
         ind_ci.push(']');
@@ -589,5 +575,117 @@ impl Session {
         );
         session.stream = snapshot::stream_from_container(c, &ctx).map_err(|e| bad(&e))?;
         Ok(session)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cgte_core::bootstrap::{bootstrap_induced, bootstrap_star};
+    use cgte_core::category_size::{induced_size, star_size};
+    use cgte_graph::generators::barabasi_albert;
+    use cgte_sampling::{InducedSample, StarSample};
+
+    /// Reference `"ci"` member computed the materialized way: a
+    /// `StarSample` and an `InducedSample` observed from the push log, and
+    /// every replicate re-observed through `subsample`.
+    fn materialized_ci_json(s: &Session, level: f64, reps: usize) -> String {
+        let g = &s.graph.graph;
+        let p = &s.graph.partitions[s.part_idx].1;
+        let population = s.population();
+        let log = s.stream.log();
+        let nodes: Vec<NodeId> = log.iter().map(|&(v, _)| v).collect();
+        let weights: Vec<f64> = match s.design {
+            DesignKind::Uniform => vec![1.0; log.len()],
+            DesignKind::Weighted => log.iter().map(|&(_, w)| w).collect(),
+        };
+        let star_sample = StarSample::observe_with_weights(g, p, &nodes, weights.clone());
+        let ind_sample = InducedSample::observe_with_weights(g, p, &nodes, weights);
+        let mut rng = StdRng::seed_from_u64(
+            s.seed ^ (log.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ reps as u64,
+        );
+        let opts = StarSizeOptions::default();
+        let mut star_ci = String::from("[");
+        let mut ind_ci = String::from("[");
+        for c in 0..s.num_categories() as u32 {
+            if c > 0 {
+                star_ci.push(',');
+                ind_ci.push(',');
+            }
+            let star = bootstrap_star(&star_sample, reps, level, &mut rng, |x| {
+                star_size(x, c, population, &opts)
+            });
+            push_summary(&mut star_ci, star);
+            let induced = bootstrap_induced(&ind_sample, reps, level, &mut rng, |x| {
+                induced_size(x, c, population)
+            });
+            push_summary(&mut ind_ci, induced);
+        }
+        star_ci.push(']');
+        ind_ci.push(']');
+        format!(
+            "\"ci\":{{\"level\":{},\"reps\":{reps},\"sizes_star\":{star_ci},\"sizes_induced\":{ind_ci}}}",
+            fmt_f64(level)
+        )
+    }
+
+    /// A preferential-attachment graph (a few heavy hubs that walks revisit)
+    /// with six categories, the last of which holds no node at all.
+    fn skewed_graph() -> Arc<LoadedGraph> {
+        let mut rng = StdRng::seed_from_u64(3);
+        let g = barabasi_albert(600, 2, &mut rng).unwrap();
+        let assignment = (0..600u32).map(|v| (v * 7 + v / 50) % 5).collect();
+        let p = Partition::from_assignments(assignment, 6).unwrap();
+        Arc::new(LoadedGraph::new(
+            "skewed".to_string(),
+            g,
+            vec![("main".to_string(), p)],
+        ))
+    }
+
+    #[test]
+    fn ci_member_is_bit_identical_to_the_materialized_bootstrap() {
+        let graph = skewed_graph();
+        for sampler in ["uis", "rw", "mhrw", "swrw"] {
+            for design in ["uniform", "weighted"] {
+                let spec = SessionSpec {
+                    graph: "skewed".to_string(),
+                    partition: None,
+                    sampler: sampler.to_string(),
+                    design: Some(design.to_string()),
+                    seed: 17,
+                    burn_in: 0,
+                    thinning: 1,
+                };
+                let mut s = Session::open("s0".to_string(), Arc::clone(&graph), &spec, 1).unwrap();
+                for steps in [0, 1, 399] {
+                    if steps > 0 {
+                        s.ingest_steps(steps).unwrap();
+                    }
+                    for (level, reps) in [(0.95, 1), (0.9, 20), (0.95, 200)] {
+                        let got = s.ci_json(level, reps);
+                        let want = materialized_ci_json(&s, level, reps);
+                        assert_eq!(
+                            got,
+                            want,
+                            "{sampler}/{design} at n={}, reps={reps}",
+                            s.len()
+                        );
+                        if s.is_empty() {
+                            assert!(!got.contains("\"lo\""), "empty session has intervals");
+                        }
+                    }
+                }
+                // The absent category: no star interval, a zero induced one.
+                let ci = s.ci_json(0.95, 20);
+                assert!(ci.contains(",null],\"sizes_induced\""), "{ci}");
+                let mut distinct = s.stream.log().iter().map(|&(v, _)| v).collect::<Vec<_>>();
+                distinct.sort_unstable();
+                distinct.dedup();
+                if sampler != "uis" {
+                    assert!(distinct.len() < s.len(), "{sampler}: walk never revisited");
+                }
+            }
+        }
     }
 }

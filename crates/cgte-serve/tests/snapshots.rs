@@ -372,3 +372,65 @@ fn metrics_exposition_counts_events() {
     server.shutdown();
     server.join();
 }
+
+/// Concurrent saves under one snapshot name: each call writes its own
+/// temp file before the rename, so no save can interleave bytes with
+/// another or lose its temp file to a sibling's rename. Every save must
+/// answer 200, the surviving file must decode and restore, and no temp
+/// file may be left behind.
+#[test]
+fn concurrent_saves_under_one_name_all_succeed() {
+    const SAVERS: usize = 8;
+    let dir = temp_store("concurrent-save");
+    let (g, p) = planted();
+    write_graph(&dir, "planted", &g, &p);
+    let server = boot(&dir, |c| ServeConfig { threads: 4, ..c });
+    let addr = server.addr();
+    let mut client = Client::connect(addr).unwrap();
+    let (st, body) = client.request_ok(
+        "POST",
+        "/sessions",
+        &format!(
+            "{{\"graph\":\"planted\",\"partition\":\"main\",\"sampler\":\"rw\",\"seed\":{SEED}}}"
+        ),
+    );
+    assert_eq!(st, 200, "{body}");
+    let (st, _) = client.request_ok("POST", "/sessions/s0/ingest", "{\"steps\":2000}");
+    assert_eq!(st, 200);
+
+    for round in 0..5 {
+        let barrier = std::sync::Arc::new(std::sync::Barrier::new(SAVERS));
+        let savers: Vec<_> = (0..SAVERS)
+            .map(|_| {
+                let barrier = std::sync::Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    let mut c = Client::connect(addr).unwrap();
+                    barrier.wait();
+                    c.request_ok("POST", "/sessions/s0/snapshot?name=shared", "")
+                })
+            })
+            .collect();
+        for h in savers {
+            let (st, body) = h.join().unwrap();
+            assert_eq!(st, 200, "round {round}: {body}");
+        }
+    }
+
+    let sessions = dir.join("sessions");
+    let bytes = std::fs::read(sessions.join("shared.cgtes")).unwrap();
+    snapshot::read_snapshot(&bytes[..]).expect("final snapshot decodes");
+    let leftovers: Vec<_> = std::fs::read_dir(&sessions)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n != "shared.cgtes")
+        .collect();
+    assert!(leftovers.is_empty(), "temp files left: {leftovers:?}");
+    let (st, body) = client.request_ok("POST", "/sessions/restore", "{\"snapshot\":\"shared\"}");
+    assert_eq!(st, 200, "{body}");
+    assert_eq!(json_u64(&body, "len"), 2000);
+
+    drop(client);
+    server.shutdown();
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
